@@ -5,7 +5,6 @@
 #include "graph/adjacency.h"
 #include "nn/init.h"
 #include "runtime/context.h"
-#include "tensor/tensor_ops.h"
 
 namespace enhancenet {
 namespace core {
@@ -93,39 +92,30 @@ std::vector<graph::Support> Damgn::CombinedSupports(const ag::Variable& x,
   ENHANCENET_CHECK_GE(max_hops, 1);
   const int topk = runtime::RuntimeContext::Current().exec().topk.load(
       std::memory_order_relaxed);
-  std::vector<graph::Support> supports;
+  // The hop-1 base of each direction, dense A' or split S + λ_C·C_topk.
+  std::vector<graph::Support> bases;
   if (topk > 0) {
-    // Sparse path: A' is kept split as S + λ_C·C_topk and applied
-    // hop-by-hop, so no [B,N,N] tensor (let alone its powers) is built.
     ag::Variable s = StaticMix();
     graph::SparseAdjacency c = SparseDynamicC(x, topk);
     c.values = ag::Mul(lambda_c_, c.values);
-    for (int hop = 1; hop <= max_hops; ++hop) {
-      supports.emplace_back(s, c, hop, /*transposed=*/false);
-    }
+    bases.emplace_back(s, c, /*hops=*/1, /*transposed=*/false);
     if (bidirectional) {
-      ag::Variable st = ag::Transpose(s, 0, 1);
-      for (int hop = 1; hop <= max_hops; ++hop) {
-        supports.emplace_back(st, c, hop, /*transposed=*/true);
-      }
+      bases.emplace_back(ag::Transpose(s, 0, 1), c, 1, /*transposed=*/true);
     }
-    return supports;
+  } else {
+    const ag::Variable combined = Combined(x);
+    bases.emplace_back(combined);
+    if (bidirectional) {
+      bases.emplace_back(ag::Transpose(combined, 1, 2));
+      bases[1].transposed = true;
+    }
   }
-  const ag::Variable combined = Combined(x);
-  supports.push_back(combined);
-  ag::Variable power = combined;
-  for (int hop = 2; hop <= max_hops; ++hop) {
-    // (A')ᵏ replaces Aᵏ for k-hop neighbourhoods (Sec. V-A).
-    power = ag::BatchMatMul(power, combined);
-    supports.push_back(power);
-  }
-  if (bidirectional) {
-    const ag::Variable transposed = ag::Transpose(combined, 1, 2);
-    supports.push_back(transposed);
-    ag::Variable tpower = transposed;
-    for (int hop = 2; hop <= max_hops; ++hop) {
-      tpower = ag::BatchMatMul(tpower, transposed);
-      supports.push_back(tpower);
+  // (A')ᵏ replaces Aᵏ for k-hop neighbourhoods (Sec. V-A): each base heads
+  // the hop chain 1..max_hops that MixSupports applies as x_k = A'·x_{k−1}.
+  std::vector<graph::Support> supports;
+  for (graph::Support& base : bases) {
+    for (base.hops = 1; base.hops <= max_hops; ++base.hops) {
+      supports.push_back(base);
     }
   }
   return supports;

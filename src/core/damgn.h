@@ -60,12 +60,10 @@ class Damgn : public nn::Module {
   /// Support set for diffusion-style graph convolution using A' in place of
   /// A (and (A')ᵏ in place of Aᵏ, Sec. V-A). With bidirectional=true the
   /// transposed supports are appended, mirroring the fwd/bwd static set:
-  ///   { A', (A')², ..., A'ᵀ, (A'ᵀ)², ... }   each [B, N, N]
-  ///
-  /// Honors ExecConfig::topk of the bound RuntimeContext: k=0 returns the
-  /// historical dense supports (bitwise unchanged); k>0 returns sparse
-  /// supports that apply S + λ_C·C_topk hop-by-hop without ever
-  /// materializing an [B,N,N] power.
+  ///   { A', (A')², ..., A'ᵀ, (A'ᵀ)², ... }
+  /// as one hop chain per direction (graph::Support); no power is built.
+  /// Honors ExecConfig::topk of the bound RuntimeContext: k=0 bases the
+  /// chains on a dense [B,N,N] A', k>0 on S + λ_C·C_topk.
   std::vector<graph::Support> CombinedSupports(const autograd::Variable& x,
                                                int max_hops,
                                                bool bidirectional) const;

@@ -43,18 +43,23 @@ ag::Variable ApplyAdjacency(const ag::Variable& adj, const ag::Variable& x) {
   return ag::BatchMatMul(adj, x);
 }
 
+namespace {
+
+/// One hop of a support: S·y + D·y.
+ag::Variable ApplyHop(const Support& support, const ag::Variable& y) {
+  ag::Variable dynamic =
+      support.is_sparse()
+          ? ApplySparseAdjacency(support.sparse, y, support.transposed)
+          : ApplyAdjacency(support.dense, y);
+  if (!support.static_part.defined()) return dynamic;
+  return ag::Add(ApplyAdjacency(support.static_part, y), dynamic);
+}
+
+}  // namespace
+
 ag::Variable ApplySupport(const Support& support, const ag::Variable& x) {
-  if (!support.is_sparse()) return ApplyAdjacency(support.dense, x);
-  // Hop-by-hop application of (S + C)^h without materializing the power:
-  // each hop is a dense [N,N] apply plus a sparse top-k apply.
   ag::Variable y = x;
-  for (int h = 0; h < support.hops; ++h) {
-    ag::Variable dynamic =
-        ApplySparseAdjacency(support.sparse, y, support.transposed);
-    y = support.static_part.defined()
-            ? ag::Add(ApplyAdjacency(support.static_part, y), dynamic)
-            : dynamic;
-  }
+  for (int h = 0; h < support.hops; ++h) y = ApplyHop(support, y);
   return y;
 }
 
@@ -64,8 +69,13 @@ ag::Variable MixSupports(const ag::Variable& x,
   std::vector<ag::Variable> parts;
   parts.reserve(supports.size() + 1);
   if (include_self) parts.push_back(x);
-  for (const Support& support : supports) {
-    parts.push_back(ApplySupport(support, x));
+  for (size_t i = 0; i < supports.size(); ++i) {
+    const Support& support = supports[i];
+    // A hop chain (see Support) continues from the previous support's output.
+    const bool chained = i > 0 && support.hops == supports[i - 1].hops + 1 &&
+                         support.transposed == supports[i - 1].transposed;
+    parts.push_back(chained ? ApplyHop(support, parts.back())
+                            : ApplySupport(support, x));
   }
   ENHANCENET_CHECK(!parts.empty());
   if (parts.size() == 1) return parts[0];

@@ -18,18 +18,19 @@ namespace graph {
 autograd::Variable ApplyAdjacency(const autograd::Variable& adj,
                                   const autograd::Variable& x);
 
-/// One support matrix for graph convolution. Two representations:
+/// One support of a graph convolution: the hop kernel y ↦ S·y + D·y applied
+/// `hops` times. S (`static_part`) is an optional dense [N,N] matrix; the
+/// dynamic part D is `dense` ([N,N] or per-sample [B,N,N]) or `sparse`
+/// (top-k CSR, DESIGN.md §10). Dense parts are stored pre-transposed when
+/// `transposed` is set; a sparse part applies its CSC half instead.
 ///
-///  * dense: an explicit adjacency (or materialized power (A')^h), applied
-///    with one ApplyAdjacency call — the historical path, bitwise unchanged.
-///  * sparse (DESIGN.md §10): the DAMGN combined adjacency split into a
-///    dense static part S = λ_A·A + λ_B·B and a sparse top-k dynamic part
-///    C (already λ_C-scaled). The h-hop support (S+C)^h is never
-///    materialized; ApplySupport applies y ← S·y + C·y  h times, keeping
-///    every step O(N·(N+k)·C) instead of the O(N³) power build.
+/// Hop chains: a support with hops = h directly after one with hops = h−1
+/// and the same `transposed` flag is the next hop of the same base, and
+/// MixSupports applies one hop to that support's output (x_h = A'·x_{h−1}).
+/// The rule reads only `hops`, `transposed` and list position.
 ///
-/// The implicit Variable constructor keeps existing call sites (and brace
-/// initializer lists of plain adjacencies) compiling unchanged.
+/// The implicit Variable constructor keeps plain adjacencies (and brace
+/// initializer lists of them) usable as hops = 1 supports.
 struct Support {
   Support(autograd::Variable adj)  // NOLINT: implicit on purpose
       : dense(std::move(adj)) {}
@@ -40,16 +41,16 @@ struct Support {
         hops(hops_),
         transposed(transposed_) {}
 
-  autograd::Variable dense;        ///< dense support, when !is_sparse()
-  autograd::Variable static_part;  ///< dense S (pre-transposed if transposed)
-  SparseAdjacency sparse;          ///< sparse dynamic part C
-  int hops = 1;                    ///< how many times (S+C)· is applied
-  bool transposed = false;         ///< apply Cᵀ (CSC half) instead of C
+  autograd::Variable dense;        ///< dense D, when !is_sparse()
+  autograd::Variable static_part;  ///< optional dense S
+  SparseAdjacency sparse;          ///< sparse D
+  int hops = 1;                    ///< hop kernels applied to the input
+  bool transposed = false;         ///< the base is transposed
 
   bool is_sparse() const { return sparse.defined(); }
 };
 
-/// Aggregates x over one support's neighbourhood (see Support above).
+/// Aggregates x over one support's neighbourhood: `hops` hop kernels from x.
 autograd::Variable ApplySupport(const Support& support,
                                 const autograd::Variable& x);
 

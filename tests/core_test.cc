@@ -9,6 +9,7 @@
 #include "graph/adjacency.h"
 #include "graph/graph_conv.h"
 #include "gtest/gtest.h"
+#include "runtime/context.h"
 #include "tensor/tensor_ops.h"
 #include "test_util.h"
 
@@ -25,6 +26,23 @@ Tensor RandomAdjacency(int64_t n, uint64_t seed) {
   for (int64_t i = 0; i < n; ++i) dist.at({i, i}) = 0.0f;
   return graph::GaussianKernelAdjacency(dist);
 }
+
+/// Binds a private RuntimeContext with ExecConfig::topk = k for its scope.
+class TopKScope {
+ public:
+  explicit TopKScope(int k) : context_(PrivateExec()), bind_(context_) {
+    context_.exec().topk.store(k, std::memory_order_relaxed);
+  }
+
+ private:
+  static runtime::RuntimeContext::Options PrivateExec() {
+    runtime::RuntimeContext::Options options;
+    options.private_exec = true;
+    return options;
+  }
+  runtime::RuntimeContext context_;
+  runtime::RuntimeContext::Bind bind_;
+};
 
 // ---------------------------------------------------------------------------
 // EntityMemoryBank
@@ -135,6 +153,15 @@ class DamgnTest : public ::testing::Test {
         adjacency_(RandomAdjacency(6, 11)),
         damgn_(adjacency_, 6, 2, 4, 3, rng_) {}
 
+  /// λ_A, λ_B, λ_C = 0.6, 0.3, 0.4, so every term of A' participates.
+  void SetMixingCoefficients() {
+    for (auto& [name, param] : damgn_.NamedParameters()) {
+      if (name == "lambda_a") param.mutable_data().data()[0] = 0.6f;
+      if (name == "lambda_b") param.mutable_data().data()[0] = 0.3f;
+      if (name == "lambda_c") param.mutable_data().data()[0] = 0.4f;
+    }
+  }
+
   Rng rng_;
   Tensor adjacency_;
   core::Damgn damgn_;
@@ -219,21 +246,86 @@ TEST_F(DamgnTest, LambdasAreLearnable) {
 }
 
 TEST_F(DamgnTest, CombinedSupportsCountsAndShapes) {
+  SetMixingCoefficients();
   Rng rng(16);
-  Tensor x = Tensor::Randn({2, 6, 2}, rng);
-  const auto supports =
-      damgn_.CombinedSupports(ag::Variable::Leaf(x, false), 2, true);
-  ASSERT_EQ(supports.size(), 4u);
-  for (const auto& s : supports) {
-    EXPECT_EQ(ShapeToString(s.dense.shape()), "[2, 6, 6]");
+  const ag::Variable x =
+      ag::Variable::Leaf(Tensor::Randn({2, 6, 2}, rng), false);
+  const int max_hops = 2;
+  const auto supports = damgn_.CombinedSupports(x, max_hops, true);
+  ASSERT_EQ(supports.size(), 2u * max_hops);
+  for (size_t i = 0; i < supports.size(); ++i) {
+    EXPECT_EQ(ShapeToString(supports[i].dense.shape()), "[2, 6, 6]");
+    EXPECT_EQ(supports[i].hops, static_cast<int>(i) % max_hops + 1);
+    EXPECT_EQ(supports[i].transposed, static_cast<int>(i) >= max_hops);
   }
-  // Second support is the batch square of the first.
-  Tensor sq =
-      ops::BatchMatMul(supports[0].dense.data(), supports[0].dense.data());
-  ExpectTensorNear(supports[1].dense.data(), sq, 1e-5f);
-  // Third is the transpose of the first.
-  ExpectTensorNear(supports[2].dense.data(),
-                   ops::Transpose(supports[0].dense.data(), 1, 2), 1e-6f);
+  // Hop h applies A' (or A'ᵀ) h times; no power of A' is built.
+  const Tensor a = damgn_.Combined(x).data();
+  const Tensor at = ops::Transpose(a, 1, 2);
+  const Tensor signal = Tensor::Randn({2, 6, 5}, rng);
+  const ag::Variable y = ag::Variable::Leaf(signal, false);
+  const auto apply = [&](size_t i) {
+    return graph::ApplySupport(supports[i], y).data();
+  };
+  ExpectTensorNear(apply(0), ops::BatchMatMul(a, signal), 0.0f);
+  ExpectTensorNear(apply(1),
+                   ops::BatchMatMul(a, ops::BatchMatMul(a, signal)), 0.0f);
+  ExpectTensorNear(apply(2), ops::BatchMatMul(at, signal), 0.0f);
+  ExpectTensorNear(apply(3),
+                   ops::BatchMatMul(at, ops::BatchMatMul(at, signal)), 0.0f);
+}
+
+TEST_F(DamgnTest, ChainedMixSupportsMatchesStandaloneApplies) {
+  // MixSupports feeds hop h−1's output into hop h; that must compute exactly
+  // what applying each support to x on its own computes.
+  SetMixingCoefficients();
+  Rng rng(18);
+  const ag::Variable x =
+      ag::Variable::Leaf(Tensor::Randn({2, 6, 2}, rng), false);
+  for (const int topk : {0, 3}) {
+    SCOPED_TRACE(::testing::Message() << "topk " << topk);
+    TopKScope scope(topk);
+    const auto supports = damgn_.CombinedSupports(x, /*max_hops=*/3, true);
+    ASSERT_EQ(supports.size(), 6u);
+    EXPECT_EQ(supports[0].is_sparse(), topk > 0);
+    std::vector<Tensor> parts = {x.data()};
+    for (const graph::Support& s : supports) {
+      parts.push_back(graph::ApplySupport(s, x).data());
+    }
+    ExpectTensorNear(graph::MixSupports(x, supports, true).data(),
+                     ops::Concat(parts, -1), 0.0f);
+  }
+}
+
+TEST_F(DamgnTest, ChainedMixSupportsGradientsMatchFiniteDifferences) {
+  // In a hop chain, hop 1's output feeds both the mix and hop 2, so every
+  // DAMGN parameter (λs, B₁, B₂, θ, φ) collects gradient along both paths.
+  SetMixingCoefficients();
+  Rng rng(19);
+  const ag::Variable x =
+      ag::Variable::Leaf(Tensor::Randn({2, 6, 2}, rng), false);
+  const ag::Variable weight =
+      ag::Variable::Leaf(Tensor::Randn({2, 6, 5 * 2}, rng), false);
+  for (const int topk : {0, 3}) {
+    SCOPED_TRACE(::testing::Message() << "topk " << topk);
+    TopKScope scope(topk);
+    // The top-k selection must not move under the finite-difference steps,
+    // or the numeric gradient crosses a discontinuity.
+    std::vector<int32_t> selection;
+    bool selection_moved = false;
+    const auto loss = [&] {
+      const auto supports = damgn_.CombinedSupports(x, /*max_hops=*/2, true);
+      if (topk > 0) {
+        const ag::IntArray& cols = supports[0].sparse.index.cols;
+        std::vector<int32_t> now(cols.data(), cols.data() + cols.numel);
+        if (selection.empty()) selection = now;
+        selection_moved = selection_moved || now != selection;
+      }
+      return ag::SumAll(
+          ag::Mul(graph::MixSupports(x, supports, true), weight));
+    };
+    ExpectGradientsMatch(loss, damgn_.Parameters());
+    EXPECT_FALSE(selection_moved);
+  }
 }
 
 TEST_F(DamgnTest, ParameterCountMatchesFormula) {

@@ -459,9 +459,9 @@ TEST(SparseTest, BitwiseDeterministicAcrossThreadCounts) {
 }
 
 TEST(SparseTest, DamgnSparseFullKMatchesDenseSupports) {
-  // With k = N the sparse hop-by-hop supports compute the same function as
-  // the dense materialized powers; losses and parameter gradients agree to
-  // float reassociation tolerance.
+  // With k = N the hop chains over S + λ_C·C_topk compute the same function
+  // as the hop chains over the dense A'; losses and parameter gradients
+  // agree to float reassociation tolerance.
   Rng rng(97);
   const int64_t batch = 2, n = 6, c = 3;
   core::Damgn damgn(Tensor::RandUniform({n, n}, rng, 0.0f, 1.0f), n, c,
@@ -552,7 +552,13 @@ TEST(SparseTest, SparseTrainingStepsAreAllocationFree) {
 
   // Guard against a vacuous pass: with k=4 << N the forward must differ from
   // the dense forward, proving the model really routes through the sparse
-  // DAMGN path (a model without a DAMGN ignores topk entirely).
+  // DAMGN path (a model without a DAMGN ignores topk entirely). At the
+  // initial λ_B = λ_C = 0 top-k cannot change the function, so the mixing
+  // coefficients are set nonzero first.
+  for (auto& [name, param] : model->NamedParameters()) {
+    if (name == "damgn.lambda_b") param.mutable_data().data()[0] = 0.3f;
+    if (name == "damgn.lambda_c") param.mutable_data().data()[0] = 0.4f;
+  }
   {
     ag::NoGradGuard no_grad;
     Rng rng_sparse(9), rng_dense(9);
